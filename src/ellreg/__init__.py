@@ -59,7 +59,6 @@ from .heights import (
     gram_from_matrix,
     gram_matrix,
     pairing,
-    set_precision_floor,
     torsion_subgroup,
 )
 from .lattice import (
@@ -68,6 +67,7 @@ from .lattice import (
     MinimaProfile,
     asymptotic_constant,
     count_below,
+    count_grid,
     count_points_below,
     lll_reduce,
     reg_convert,

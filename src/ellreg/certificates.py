@@ -13,12 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .lattice import (
-    DEFAULT_ENUM_CAP,
-    count_below,
-    regulator_L,
-    successive_minima,
-)
 from .primes import primes_up_to
 
 PASS = "PASS"
@@ -103,19 +97,18 @@ class BoundParams:
 # ---------------------------------------------------------------------------
 
 
-def minkowski_certificate(g, profile=None, cap=DEFAULT_ENUM_CAP):
+def minkowski_certificate(profile, reg):
     """Both successive-minima product bounds; returns (weak, sharp).
 
     weak:  prod(lambda_i) <= m^(m/2) * sqrt(Reg_L)
     sharp: prod(lambda_i) <= 2^m * Gamma(m/2 + 1) * pi^(-m/2) * sqrt(Reg_L)
-    At rank 1 both are exact equalities and certify as INDETERMINATE.
+    profile is the measured MinimaProfile and reg the regulator_L
+    HeightValue of the same lattice.  At rank 1 both are exact equalities
+    and certify as INDETERMINATE.
     """
-    if profile is None:
-        profile = successive_minima(g, cap=cap)
-    m = g.m
+    m = len(profile.values)
     if m == 0:
         raise ValueError("Minkowski bounds need positive rank")
-    reg = regulator_L(g)
     prod_sq = 1.0
     for v in profile.values:
         prod_sq *= v
@@ -145,15 +138,14 @@ def gamma_inequality(m):
     return _cert_upper("gamma_inequality", lhs, rhs, budget, note)
 
 
-def vdc_lattice_check(g, H, cap=DEFAULT_ENUM_CAP):
+def vdc_lattice_check(hc, m, reg):
     """Volume floor on the exact count: N(H) including zero is at least
     pi^(m/2) H^(m/2) / (Gamma(m/2+1) 2^m sqrt(Reg_L)).
+
+    hc is the measured CountingPair (zero included) of a rank-m lattice
+    whose regulator_L HeightValue is reg.
     """
-    if H < 0:
-        raise ValueError("height bound must be nonnegative")
-    m = g.m
-    n = count_below(g, H, include_zero=True, cap=cap).C
-    reg = regulator_L(g)
+    H, n = hc.H, hc.C
     root = math.sqrt(reg.value)
     floor = math.pi ** (m / 2) * H ** (m / 2) / (math.gamma(m / 2 + 1) * 2**m * root)
     budget = floor * (0.5 * reg.err / reg.value) + 1e-13 * (n + floor)

@@ -21,13 +21,14 @@ import sys
 from .errors import EllregError
 from .harness import (
     HarnessConfig,
+    batch,
     bundled_dataset_path,
     exit_status,
     ingest,
-    render_entries,
     run_batch,
+    write_text,
 )
-from .heights import gram_matrix, set_precision_floor, torsion_subgroup
+from .heights import gram_matrix, torsion_subgroup
 from .lattice import count_points_below, successive_minima
 from .points import point
 from .weierstrass import curve
@@ -113,14 +114,6 @@ def _config(args):
     )
 
 
-def _write(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _certify_entries(entries):
     slim = []
     for entry in entries:
@@ -185,9 +178,7 @@ def _lookup(label, data_path):
 
 
 def _cmd_analyze(args):
-    entries, status = run_batch(args.file, _config(args))
-    _write(render_entries(entries, csv_format=args.csv), args.out)
-    return status
+    return batch(args.file, args.out, _config(args), args.csv)
 
 
 def _cmd_certify(args):
@@ -197,36 +188,38 @@ def _cmd_certify(args):
         text = _certify_csv(slim)
     else:
         text = json.dumps(slim, indent=2, sort_keys=True) + "\n"
-    _write(text, args.out)
+    write_text(text, args.out)
     return exit_status(slim)
+
+
+def _gram(rec, config):
+    c = curve(rec.ainvs)
+    gens = [point(x, y) for x, y in rec.gens]
+    return c, gram_matrix(c, gens, config.target_err, config.precision)
 
 
 def _cmd_count(args):
     config = _config(args)
-    set_precision_floor(config.precision)
     rec = _lookup(args.label, args.data)
-    c = curve(rec.ainvs)
+    c, gram = _gram(rec, config)
     tors = torsion_subgroup(c)
-    gram = gram_matrix(c, [point(x, y) for x, y in rec.gens], config.target_err)
-    n = count_points_below(gram, tors.order, args.T)
+    n = count_points_below(gram, tors.order, args.T, cap=config.enum_cap)
     doc = {"label": rec.label, "T": args.T, "count": n}
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_minima(args):
     config = _config(args)
-    set_precision_floor(config.precision)
     rec = _lookup(args.label, args.data)
-    c = curve(rec.ainvs)
-    gram = gram_matrix(c, [point(x, y) for x, y in rec.gens], config.target_err)
+    _, gram = _gram(rec, config)
     profile = successive_minima(gram, cap=config.enum_cap)
     doc = {
         "label": rec.label,
         "minima": list(profile.values),
         "vectors": [list(v) for v in profile.vectors],
     }
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

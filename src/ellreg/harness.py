@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -39,20 +39,17 @@ from .certificates import (
 )
 from .errors import EllregError, ParseError, PointNotOnCurve, TorsionMismatch
 from .heights import (
+    DEFAULT_PRECISION,
     GramLattice,
     HeightValue,
-    canonical_height,
     gram_matrix,
-    set_precision_floor,
     torsion_subgroup,
 )
 from .lattice import (
     DEFAULT_ENUM_CAP,
-    CountingPair,
     MinimaProfile,
     asymptotic_constant,
-    count_below,
-    count_points_below,
+    count_grid,
     reg_convert,
     regulator_L,
     successive_minima,
@@ -62,7 +59,6 @@ from .weierstrass import (
     curve,
     invariant_heights,
     local_data,
-    minimal_model,
     szpiro_quotient,
 )
 
@@ -100,19 +96,22 @@ class CurveRecord:
 class HarnessConfig:
     """Knobs shared by every analysis in a batch run."""
 
-    precision: int = 128
+    precision: int = DEFAULT_PRECISION
     target_err: float = 1e-12
     enum_cap: int = DEFAULT_ENUM_CAP
-    k_max: int = 6
     corrupt_gram: bool = False
 
     def __post_init__(self):
+        if int(self.precision) != self.precision or self.precision < 32:
+            raise ValueError("precision must be an integer of at least 32 bits")
         if self.target_err <= 0:
             raise ValueError("target error must be positive")
         if self.enum_cap < 1:
             raise ValueError("enumeration cap must be positive")
-        if self.k_max < 0:
-            raise ValueError("counting grid exponent must be nonnegative")
+
+
+# The counting grid is T = 2^k * lambda_1^2 for 0 <= k <= K_MAX.
+K_MAX = 6
 
 
 def _parse_rational(value, where):
@@ -265,25 +264,19 @@ def _corrupted(gram):
     return GramLattice(vals, errs)
 
 
-def _with_note(cert, note):
-    out = replace(cert, note=note)
-    return out
-
-
 def analyze(rec, config=None):
     """Full deterministic analysis of one curve record.
 
     Certificate order is fixed: gamma, Minkowski weak and sharp, the
     volume counting check, the per-index minima floors, both regulator
     floors from counting, the two curve-level floors, and the prime-sum
-    floor.  The counting grid is T = 2^k * lambda_1^2 for 0 <= k <= k_max.
-    Raises TorsionMismatch when a stated torsion_order disagrees with the
-    computed one.
+    floor.  The counting grid is T = 2^k * lambda_1^2 for 0 <= k <= K_MAX,
+    counted in one enumeration.  Raises TorsionMismatch when a stated
+    torsion_order disagrees with the computed one.
     """
     config = config or HarnessConfig()
-    set_precision_floor(config.precision)
     c = _validate_record(rec)
-    cmin, _ = minimal_model(c)
+    cmin = c.minimal[0]
     heights = invariant_heights(c)
     sigma = szpiro_quotient(c)
     locals_ = local_data(c)
@@ -295,7 +288,7 @@ def analyze(rec, config=None):
         )
     m = len(rec.gens)
     gens_pts = [point(x, y) for x, y in rec.gens]
-    gram = gram_matrix(c, gens_pts, target_err=config.target_err)
+    gram = gram_matrix(c, gens_pts, config.target_err, config.precision)
     if config.corrupt_gram and m >= 1:
         gram = _corrupted(gram)
     reg_l = regulator_L(gram)
@@ -316,23 +309,24 @@ def analyze(rec, config=None):
     if m >= 1:
         profile = successive_minima(gram, cap=config.enum_cap)
         lam1 = profile.values[0]
-        grid = [math.ldexp(lam1, k) for k in range(config.k_max + 1)]
+        grid = [math.ldexp(lam1, k) for k in range(K_MAX + 1)]
+        pairs = count_grid(gram, grid, include_zero=True, cap=config.enum_cap)
         c_e = asymptotic_constant(m, tors.order, reg_l.value)
         counting = tuple(
-            CountingRow(t, count_points_below(gram, tors.order, t), c_e * t ** (m / 2.0))
-            for t in grid
+            CountingRow(p.H, tors.order * p.C, c_e * p.H ** (m / 2.0)) for p in pairs
         )
         certs.append(gamma_inequality(m))
-        certs.extend(minkowski_certificate(gram, profile=profile, cap=config.enum_cap))
-        certs.append(vdc_lattice_check(gram, grid[-1], cap=config.enum_cap))
-        pair = count_below(gram, lam1, include_zero=True, cap=config.enum_cap)
+        certs.extend(minkowski_certificate(profile, reg_l))
+        certs.append(vdc_lattice_check(pairs[-1], m, reg_l))
+        pair = pairs[0]  # the count at lambda_1^2
+        note = "count over the lattice, zero included"
         for i in range(1, m + 1):
             _, cert = minima_floor(pair, i, observed_sq=profile.values[i - 1])
-            certs.append(_with_note(cert, "count over the lattice, zero included"))
+            certs.append(replace(cert, note=note))
         _, cert = reg_floor_corollary(pair.H, pair.C, m, observed_reg=reg_l.value)
-        certs.append(_with_note(cert, "count over the lattice, zero included"))
+        certs.append(replace(cert, note=note))
         _, cert = vdc_reg_floor(pair.H, pair.C, m, tors=1, observed_reg=reg_l.value)
-        certs.append(_with_note(cert, "count over the lattice, zero included"))
+        certs.append(replace(cert, note=note))
         _, cert = hs_height_floor(params, observed_sq=lam1)
         certs.append(cert)
         _, cert = szpiro_reg_floor(params, observed_reg=reg_l.value)
@@ -539,10 +533,9 @@ def render_entries(entries, csv_format=False):
     return json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(text, out_path):
+def write_text(text, out_path):
+    """Write text to the file out_path, or to stdout when it is None."""
     if out_path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -567,19 +560,16 @@ def exit_status(entries):
 def run_batch(path, config=None):
     """Analyze every record of a dataset; returns (entries, exit_status).
 
-    Per-curve analyses run concurrently but the output order is the input
-    order.  Parse and I/O failures yield a single error entry and status 1.
+    Entries follow the input order; a curve whose analysis raises an
+    EllregError gets an error entry.  Parse and I/O failures yield a single
+    error entry and status 1.
     """
     config = config or HarnessConfig()
     try:
         records = ingest(path)
     except (ParseError, PointNotOnCurve, OSError) as exc:
         return [{"error": _error_dict(exc)}], 1
-    if not records:
-        return [], 0
-    workers = min(8, len(records))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        entries = list(pool.map(lambda r: _analyze_entry(r, config), records))
+    entries = [_analyze_entry(rec, config) for rec in records]
     return entries, exit_status(entries)
 
 
@@ -591,5 +581,5 @@ def batch(path, out_path=None, config=None, csv_format=False):
     0 with no FAIL certificates and no errors, 2 on any FAIL, 1 on errors.
     """
     entries, status = run_batch(path, config)
-    _write_text(render_entries(entries, csv_format), out_path)
+    write_text(render_entries(entries, csv_format), out_path)
     return status

@@ -16,24 +16,20 @@ h_std(Q) / (2 m^2), the quadratic-form normalization with the factor 1/2.
 """
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateLattice
 from .points import RationalPoint, add, map_point, multiply, require_on_curve
-from .primes import factorize
-from .weierstrass import (
-    invert_transform,
-    minimal_model,
-    singular_point_mod_p,
-    tate_local,
-)
+from .primes import factorize, is_prime, square_divisors
+from .weierstrass import invert_transform
+
+DEFAULT_PRECISION = 128  # minimum working bits of the height series
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,14 @@ class GramLattice:
         """The (i, j) entry as the exact rational the float denotes."""
         return Fraction(self.values[i][j])
 
+    @cached_property
+    def reduced(self):
+        """(LLL-reduced GramLattice, unimodular U) as lattice.lll_reduce,
+        computed once per lattice object."""
+        from .lattice import lll_reduce  # lattice imports this module
+
+        return lll_reduce(self)
+
 
 def gram_from_matrix(values, errs=None):
     """Build a GramLattice from nested lists; errors default to zero."""
@@ -115,96 +119,6 @@ def gram_from_matrix(values, errs=None):
     if errs is None:
         errs = tuple(tuple(0.0 for _ in row) for row in vals)
     return GramLattice(vals, tuple(tuple(float(x) for x in row) for row in errs))
-
-
-# ---------------------------------------------------------------------------
-# certified bound for sup |F| over the real line
-# ---------------------------------------------------------------------------
-
-
-def _solve_fraction_system(mat, rhs):
-    """Exact Gaussian elimination; mat is n x n of Fractions."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise AssertionError("singular system in Bezout solve")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def _bezout_one_norms(pcoef, qcoef):
-    """(sum|u_i|, sum|v_j|) for u p + v q = 1 with deg u < deg q, deg v < deg p."""
-    dp = len(pcoef) - 1
-    dq = len(qcoef) - 1
-    n = dp + dq
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(dq):  # columns for u_j, multiplying p
-        for i, pi in enumerate(pcoef):
-            mat[i + j][j] = Fraction(pi)
-    for k in range(dp):  # columns for v_k, multiplying q
-        for i, qi in enumerate(qcoef):
-            mat[i + k][dq + k] = Fraction(qi)
-    rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    sol = _solve_fraction_system(mat, rhs)
-    u_norm = sum(abs(x) for x in sol[:dq])
-    v_norm = sum(abs(x) for x in sol[dq:])
-    return u_norm, v_norm
-
-
-def _f_sup_bound(b2, b4, b6, b8):
-    """Certified upper bound for sup_x |F(x)| from exact Bezout cofactors."""
-    phi = [-b8, -2 * b6, -b4, 0, 1]
-    dlt = [b6, 2 * b4, b2, 4]
-    u1, v1 = _bezout_one_norms(phi, dlt)
-    m_near = Fraction(1) / (u1 + v1)  # |x| <= 1
-
-    # |x| >= 1 via t = 1/x: z(t) = t^4 phi(1/t), w(t) = t^3 delta(1/t)
-    z = [1, 0, -b4, -2 * b6, -b8]
-    w = [4, b2, 2 * b4, b6]
-    u2, v2 = _bezout_one_norms(z, w)
-    k = abs(b4) + 2 * abs(b6) + abs(b8)
-    t_cut = Fraction(1) if k == 0 else Fraction(1, math.isqrt(2 * k) + 1)
-    m_far = Fraction(1) / (u2 + v2 / t_cut)  # t_cut <= |t| <= 1
-    m_low = min(m_near, m_far, Fraction(1, 2))  # |t| <= t_cut: |z| >= 1/2
-
-    m_high = max(1 + k, 4 + abs(b2) + 2 * abs(b4) + abs(b6))
-    lo = float(m_low) * (1 - 1e-9)
-    hi = float(m_high) * (1 + 1e-9)
-    return max(math.log(hi), -math.log(lo), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# per-curve context (pure memo)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _HeightContext:
-    reductions: tuple  # LocalReduction at each bad prime
-    singular: tuple  # ((p, (x0, y0)), ...)
-    f_sup: float
-
-
-@lru_cache(maxsize=None)
-def _minimal(c):
-    return minimal_model(c)
-
-
-@lru_cache(maxsize=None)
-def _height_context(cmin):
-    bad = sorted(factorize(abs(int(cmin.disc))))
-    reds = tuple(tate_local(cmin, p) for p in bad)
-    sing = tuple((p, singular_point_mod_p(cmin, p)) for p in bad)
-    f_sup = _f_sup_bound(int(cmin.b2), int(cmin.b4), int(cmin.b6), int(cmin.b8))
-    return _HeightContext(reds, sing, f_sup)
 
 
 def _divisors(n):
@@ -225,29 +139,30 @@ def _torsion_multiple(c, pt, max_n=16):
     return None
 
 
-def _nonsingular_at(ctx, pt, p):
+def _nonsingular_at(red, pt):
     """Whether pt on the minimal model reduces to a nonsingular point mod p."""
     if pt is None:
         return True
+    p = red.p
     xden = pt.x.denominator
     if xden % p == 0:
         return True  # reduces to the identity
-    x0y0 = dict(ctx.singular)[p]
+    x0, y0 = red.singular
     xr = pt.x.numerator * pow(xden, -1, p) % p
-    if xr != x0y0[0] % p:
+    if xr != x0 % p:
         return True
     yr = pt.y.numerator * pow(pt.y.denominator, -1, p) % p
-    return yr != x0y0[1] % p
+    return yr != y0 % p
 
 
-def _saturation_multiple(cmin, ctx, pt):
+def _saturation_multiple(cmin, pt):
     """Least m with m*pt in the identity component at every bad prime."""
     m = 1
-    for red in ctx.reductions:
+    for red in cmin.reductions:
         if red.c == 1:
             continue
         for k in _divisors(red.c):
-            if _nonsingular_at(ctx, multiply(cmin, k, pt), red.p):
+            if _nonsingular_at(red, multiply(cmin, k, pt)):
                 m = m * k // math.gcd(m, k)
                 break
         else:
@@ -255,34 +170,19 @@ def _saturation_multiple(cmin, ctx, pt):
     return m
 
 
-# The mpmath context is process-global, so its precision changes must not
-# interleave across threads; every workprec block takes this lock.
-_MP_LOCK = threading.Lock()
+def _series_height(cmin, pt, tail_budget, precision):
+    """h_std of a point with everywhere-nonsingular reduction, and its error.
 
-_PRECISION_FLOOR = [128]
-
-
-def set_precision_floor(bits):
-    """Set the minimum working precision (bits) of the height series.
-
-    The series already chooses enough precision for the requested error
-    budget; this floor only ever raises it.  Returns the previous floor.
+    The working precision is what the error budget needs, and at least
+    `precision` bits.
     """
-    if int(bits) != bits or bits < 32:
-        raise ValueError("precision floor must be an integer of at least 32 bits")
-    old = _PRECISION_FLOOR[0]
-    _PRECISION_FLOOR[0] = int(bits)
-    return old
-
-
-def _series_height(cmin, ctx, pt, tail_budget):
-    """h_std of a point with everywhere-nonsingular reduction, and its error."""
-    n_terms = max(8, int(math.ceil(math.log(ctx.f_sup / (3 * tail_budget), 4))) + 1)
+    f_sup = cmin.f_sup
+    n_terms = max(8, int(math.ceil(math.log(f_sup / (3 * tail_budget), 4))) + 1)
     prec = 64 + 7 * n_terms + max(0, int(-math.log2(tail_budget)) + 16)
-    prec = max(prec, _PRECISION_FLOOR[0])
+    prec = max(prec, precision)
     b2, b4, b6, b8 = (int(cmin.b2), int(cmin.b4), int(cmin.b6), int(cmin.b8))
     num, den = pt.x.numerator, pt.x.denominator
-    with _MP_LOCK, mp.workprec(prec):
+    with mp.workprec(prec):
         acc = mp.log(max(abs(num), den))
         x = mp.mpf(num) / den
         weight = mp.mpf(1) / 4
@@ -296,67 +196,68 @@ def _series_height(cmin, ctx, pt, tail_budget):
             weight /= 4
             x = phi / dlt
         value = float(acc)
-    tail = ctx.f_sup * 4.0 ** (-n_terms) / 3
+    tail = f_sup * 4.0 ** (-n_terms) / 3
     rounding = math.ldexp(max(1.0, abs(value)), -(prec - 64))
     return value, tail + rounding
 
 
-def canonical_height(c, pt, target_err=1e-12):
+def canonical_height(c, pt, target_err=1e-12, precision=DEFAULT_PRECISION):
     """Quadratic-form canonical height of pt, certified within target_err.
 
     Torsion points (order <= 16) return exactly zero.  The value uses the
     normalization with the leading factor 1/2, i.e. half the doubling limit
-    lim 4^{-n} h(x(2^n P)).
+    lim 4^{-n} h(x(2^n P)).  `precision` is the minimum working precision
+    in bits of the height series.
     """
     require_on_curve(c, pt)
     if pt is None or _torsion_multiple(c, pt) is not None:
         return HeightValue(0.0, 0.0)
-    cmin, tr = _minimal(c)
-    ctx = _height_context(cmin)
+    cmin, tr = c.minimal
     q0 = map_point(tr, pt)
-    msat = _saturation_multiple(cmin, ctx, q0)
+    msat = _saturation_multiple(cmin, q0)
     q = multiply(cmin, msat, q0)
     scale = 2 * msat * msat
-    std, std_err = _series_height(cmin, ctx, q, target_err * scale / 2)
+    std, std_err = _series_height(cmin, q, target_err * scale / 2, precision)
     value = std / scale
     err = std_err / scale + math.ldexp(max(1.0, abs(value)), -50)
     return HeightValue(value, err)
 
 
-def pairing(c, p1, p2, target_err=1e-12):
+def pairing(c, p1, p2, target_err=1e-12, precision=DEFAULT_PRECISION):
     """Height pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
     require_on_curve(c, p1)
     require_on_curve(c, p2)
     per = target_err / 2
-    hs = canonical_height(c, add(c, p1, p2), per)
-    h1 = canonical_height(c, p1, per)
-    h2 = canonical_height(c, p2, per)
+    hs = canonical_height(c, add(c, p1, p2), per, precision)
+    h1 = canonical_height(c, p1, per, precision)
+    h2 = canonical_height(c, p2, per, precision)
     value = (hs.value - h1.value - h2.value) / 2
     err = (hs.err + h1.err + h2.err) / 2 + math.ldexp(max(1.0, abs(value)), -50)
     return HeightValue(value, err)
 
 
-def gram_matrix(c, gens, target_err=1e-12):
+def gram_matrix(c, gens, target_err=1e-12, precision=DEFAULT_PRECISION):
     """GramLattice of height pairings of the given generators.
 
-    The generators are trusted to be a basis of the free part; a determinant
-    below 1e-6 triggers a warning about possible dependence.
+    The generators are trusted to be a basis of the free part; a torsion
+    generator raises DegenerateLattice, and a determinant below 1e-6
+    triggers a warning about possible dependence.
     """
     gens = list(gens)
     for i, g in enumerate(gens):
         require_on_curve(c, g)
         if g is None or _torsion_multiple(c, g) is not None:
-            raise ValueError(f"generator {i} is a torsion point")
+            raise DegenerateLattice(f"generator {i} is a torsion point")
     m = len(gens)
     per = target_err / 2
-    heights = [canonical_height(c, g, per) for g in gens]
+    heights = [canonical_height(c, g, per, precision) for g in gens]
     vals = [[0.0] * m for _ in range(m)]
     errs = [[0.0] * m for _ in range(m)]
     for i in range(m):
         vals[i][i] = heights[i].value
         errs[i][i] = heights[i].err
         for j in range(i + 1, m):
-            hsum = canonical_height(c, add(c, gens[i], gens[j]), per)
+            hsum = canonical_height(c, add(c, gens[i], gens[j]), per, precision)
             v = (hsum.value - heights[i].value - heights[j].value) / 2
             e = (hsum.err + heights[i].err + heights[j].err) / 2
             vals[i][j] = vals[j][i] = v
@@ -399,20 +300,9 @@ def _torsion_order_bound(cmin):
             if bound == 1:
                 return 1
         p += 2
-        while not _is_odd_prime(p):
+        while not is_prime(p):
             p += 2
     return bound if bound else 16
-
-
-def _is_odd_prime(n):
-    if n < 3 or n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _isqrt_floor(n):
@@ -471,17 +361,15 @@ def torsion_subgroup(c):
     confirmed by exhibiting a vanishing multiple (order at most 16); a gcd of
     good-reduction point counts short-circuits curves with trivial torsion.
     """
-    cmin, tr = _minimal(c)
+    cmin, tr = c.minimal
     points = []
     if _torsion_order_bound(cmin) > 1:
         b2, c4, c6 = int(cmin.b2), int(cmin.c4), int(cmin.c6)
         a1, a3 = cmin.a1, cmin.a3
-        dfac = dict(factorize(abs(int(cmin.disc))))
+        dfac = {red.p: red.v_disc for red in cmin.reductions}
         dfac[2] = dfac.get(2, 0) + 12
         dfac[3] = dfac.get(3, 0) + 12
-        etas = [0]
-        for d in sorted(_square_divisors(dfac)):
-            etas.append(d)
+        etas = [0] + square_divisors(dfac)
         seen = set()
         for eta in etas:
             for xi in _integer_cubic_roots(0, -27 * c4, -54 * c6 - eta * eta):
@@ -512,10 +400,3 @@ def torsion_subgroup(c):
     back = invert_transform(tr)
     mapped = sorted((map_point(back, p) for p in points), key=lambda q: (q.x, q.y))
     return TorsionInfo(order, invariants, tuple(mapped))
-
-
-def _square_divisors(fac):
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** i for d in divs for i in range(e // 2 + 1)]
-    return divs

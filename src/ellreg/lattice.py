@@ -9,6 +9,8 @@ candidate exactly against the rationals denoted by the Gram entries, so
 counts are exact for the matrix as given.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,63 +219,80 @@ def lll_reduce(g):
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_below(g, bound, cap, collect):
-    """All integer vectors (one per +-pair, first nonzero > 0) with form
-    value <= bound, exactly; the zero vector is never reported.
+def _form_value(exact, v):
+    """Exact value of the form with rational entries `exact` at integer v."""
+    m = len(v)
+    s = Fraction(0)
+    for i in range(m):
+        vi = v[i]
+        if vi:
+            s += exact[i][i] * vi * vi
+            for j in range(i + 1, m):
+                if v[j]:
+                    s += 2 * exact[i][j] * vi * v[j]
+    return s
 
-    Returns (count_of_pairs, vectors or None).  Candidates are generated
-    under an LLL-reduced form with an inflated float radius and accepted by
-    exact comparison whenever the float value is within a guard band of the
-    bound.
+
+def _enumerate(g, bounds, cap, collect=False):
+    """Integer vectors (one per +-pair, first nonzero > 0) with form value
+    at most the largest of the ascending bounds, exactly; the zero vector is
+    never reported.
+
+    Returns (counts, vectors): counts[k] is the number of pairs with form
+    value <= bounds[k]; vectors, in the original coordinates, only when
+    collect is set (else None).  Candidates are generated under g's
+    LLL-reduced form with an inflated float radius.  Each accepted vector is
+    put under the first bound it lies under, settled by exact comparison
+    whenever its float value is within that bound's guard band.
     """
     m = g.m
-    bound = float(bound)
-    if m == 0 or bound < 0:
-        return 0, ([] if collect else None)
-    red, umat = lll_reduce(g)
-    exact = [[Fraction(x) for x in row] for row in g.values]
-    bound_frac = Fraction(bound)
+    bounds = [float(b) for b in bounds]
+    if m == 0:
+        return [0] * len(bounds), ([] if collect else None)
+    red, umat = g.reduced
+    exact = _fraction_matrix(g)
+    top = bounds[-1]
+    # scale-relative guard bands: float evaluation error is relative to the
+    # bound, so an absolute band would explode the search on tiny lattices
+    levels = [(b, 1e-9 * b, Fraction(b)) for b in bounds]
+    uppers = [b + band for b, band, _ in levels]
 
     def back(v):
         # reduced coordinates -> original coordinates via U
         return tuple(sum(umat[r][c] * v[c] for c in range(m)) for r in range(m))
+
     vol = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
     det = float(np.linalg.det(red.value_matrix()))
-    est = vol * max(bound, 0.0) ** (m / 2) / math.sqrt(max(det, 1e-300))
+    est = vol * max(top, 0.0) ** (m / 2) / math.sqrt(max(det, 1e-300))
     if est > 4.0 * cap:
         raise EnumerationBudgetExceeded(
             f"estimated {est:.3e} lattice points exceeds the cap {cap:.3e}"
         )
     L = np.linalg.cholesky(red.value_matrix())
     R = L.T  # upper triangular, q(x) = ||R x||^2
-    # scale-relative guard band: float evaluation error is relative to the
-    # bound, so an absolute band would explode the search on tiny lattices
-    band = 1e-9 * bound
-    radius = (bound + band) * (1 + 1e-9)
+    band = 1e-9 * top
+    radius = (top + band) * (1 + 1e-9)
     rows = [[float(R[i][j]) for j in range(m)] for i in range(m)]
     vecs = [] if collect else None
     x = [0] * m
+    hist = [0] * len(bounds)
     count = 0
     nodes = 0
 
-    def eval_exact(v):
-        s = Fraction(0)
-        for i in range(m):
-            vi = v[i]
-            if vi:
-                s += exact[i][i] * vi * vi
-                for j in range(i + 1, m):
-                    if v[j]:
-                        s += 2 * exact[i][j] * vi * v[j]
-        return s
-
-    def leaf_accept(qf, v):
-        if qf <= bound - band:
-            return True
-        if qf > bound + band:
-            return False
-        # near the boundary: settle exactly against the original entries
-        return eval_exact(back(v)) <= bound_frac
+    def first_bound(qf, v):
+        # uppers ascend, so every bound before the bisection point lies
+        # below qf by more than its band
+        value = None
+        for k in range(bisect.bisect_left(uppers, qf), len(levels)):
+            b, b_band, b_exact = levels[k]
+            if qf <= b - b_band:
+                return k
+            # near the boundary: settle exactly against the original entries
+            if value is None:
+                value = _form_value(exact, back(v))
+            if value <= b_exact:
+                return k
+        return None
 
     def descend(i, rem, shifts):
         # rem: remaining squared radius; shifts[j] = sum_{k>j} R[j][k] x[k]
@@ -311,12 +330,14 @@ def _enumerate_below(g, bound, cap, collect):
                     for c2 in range(r, m):
                         s += rows[r][c2] * x[c2]
                     qv += s * s
-                if leaf_accept(qv, x):
+                k = first_bound(qv, x)
+                if k is not None:
                     count += 1
                     if count > cap:
                         raise EnumerationBudgetExceeded(
                             f"point count exceeds the cap {cap:.0f}"
                         )
+                    hist[k] += 1
                     if collect:
                         vecs.append(tuple(x))
             else:
@@ -328,31 +349,40 @@ def _enumerate_below(g, bound, cap, collect):
 
     descend(m - 1, radius, [0.0] * m)
 
-    if collect:
-        out = []
-        for v in vecs:
-            w = back(v)
-            for comp in w:
-                if comp:
-                    if comp < 0:
-                        w = tuple(-z for z in w)
-                    break
-            out.append(w)
-        return count, out
-    return count, None
+    counts = list(itertools.accumulate(hist))
+    if not collect:
+        return counts, None
+    out = []
+    for v in vecs:
+        w = back(v)
+        for comp in w:
+            if comp:
+                if comp < 0:
+                    w = tuple(-z for z in w)
+                break
+        out.append(w)
+    return counts, out
+
+
+def count_grid(g, bounds, include_zero=False, cap=DEFAULT_ENUM_CAP):
+    """Exact counts of integer vectors with form value at most each of the
+    ascending bounds, from one enumeration; one CountingPair per bound."""
+    bounds = [float(H) for H in bounds]
+    if not bounds or bounds[0] < 0:
+        raise ValueError("height bounds must be nonnegative and not empty")
+    if bounds != sorted(bounds):
+        raise ValueError("height bounds must be ascending")
+    pairs, _ = _enumerate(g, bounds, cap)
+    zero = 1 if include_zero else 0
+    return tuple(CountingPair(H, 2 * n + zero) for H, n in zip(bounds, pairs))
 
 
 def count_below(g, H, include_zero=False, cap=DEFAULT_ENUM_CAP):
     """Exact number of integer vectors with form value at most H."""
-    H = float(H)
-    if H < 0:
-        raise ValueError("height bound must be nonnegative")
-    pairs, _ = _enumerate_below(g, H, cap, collect=False)
-    c = 2 * pairs + (1 if include_zero else 0)
-    return CountingPair(H, c)
+    return count_grid(g, [H], include_zero, cap)[0]
 
 
-def count_points_below(g, tors, T):
+def count_points_below(g, tors, T, cap=DEFAULT_ENUM_CAP):
     """Rational-point count of height <= T: torsion times the lattice count."""
     tors = int(tors)
     if tors < 1:
@@ -361,7 +391,7 @@ def count_points_below(g, tors, T):
         raise ValueError("height bound must be nonnegative")
     if g.m == 0:
         return tors
-    return tors * count_below(g, T, include_zero=True).C
+    return tors * count_below(g, T, include_zero=True, cap=cap).C
 
 
 def successive_minima(g, cap=DEFAULT_ENUM_CAP):
@@ -372,22 +402,13 @@ def successive_minima(g, cap=DEFAULT_ENUM_CAP):
     m = g.m
     if m == 0:
         return MinimaProfile((), ())
-    red, _ = lll_reduce(g)
+    red, _ = g.reduced
     bound = max(red.values[i][i] + red.errs[i][i] for i in range(m))
-    _, vecs = _enumerate_below(g, bound, cap, collect=True)
-    exact = [[Fraction(x) for x in row] for row in g.values]
-
-    def qval(v):
-        s = Fraction(0)
-        for i in range(m):
-            if v[i]:
-                s += exact[i][i] * v[i] * v[i]
-                for j in range(i + 1, m):
-                    if v[j]:
-                        s += 2 * exact[i][j] * v[i] * v[j]
-        return s
-
-    ranked = sorted(((qval(v), v) for v in vecs), key=lambda t: (t[0], t[1]))
+    _, vecs = _enumerate(g, [bound], cap, collect=True)
+    exact = _fraction_matrix(g)
+    ranked = sorted(
+        ((_form_value(exact, v), v) for v in vecs), key=lambda t: (t[0], t[1])
+    )
     chosen = []
     values = []
     basis = []  # row-reduced fraction rows for the independence test

@@ -23,19 +23,6 @@ def primes_up_to(n):
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def first_n_primes(n):
-    """The first n primes (sieve with a safe overshoot of the n-th prime)."""
-    if n < 6:
-        return primes_up_to(13)[:n]
-    # p_n < n (ln n + ln ln n) for n >= 6
-    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-    ps = primes_up_to(bound)
-    while len(ps) < n:
-        bound *= 2
-        ps = primes_up_to(bound)
-    return ps[:n]
-
-
 def _small_prime_list():
     global _small_primes
     if _small_primes is None:

@@ -7,7 +7,7 @@ appears only in the derived height-type quantities at the bottom of the file.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import NotMinimalAtP, SingularCurve
 from .primes import factorize, is_square_mod, log_int, valuation
@@ -79,6 +79,33 @@ class CurveModel:
     def is_integral(self):
         return all(a.denominator == 1 for a in self.ainvs())
 
+    # Facts of the curve computed on its global minimal model, once per
+    # CurveModel object; the minimal model is its own minimal model, so a
+    # curve and its minimal model share one copy of each.
+
+    @cached_property
+    def minimal(self):
+        """(global minimal model, transform reaching it), as minimal_model."""
+        cmin, tr = minimal_model(self)
+        cmin.__dict__["minimal"] = (cmin, IDENTITY_TRANSFORM)
+        return cmin, tr
+
+    @cached_property
+    def reductions(self):
+        """LocalReduction at every bad prime of the minimal model."""
+        cmin = self.minimal[0]
+        if cmin is not self:
+            return cmin.reductions
+        return tuple(tate_local(self, p) for p in factorize(int(self.disc)))
+
+    @cached_property
+    def f_sup(self):
+        """Certified bound for sup |F| on the minimal model (see below)."""
+        cmin = self.minimal[0]
+        if cmin is not self:
+            return cmin.f_sup
+        return _f_sup_bound(int(self.b2), int(self.b4), int(self.b6), int(self.b8))
+
 
 def curve(ainvs):
     """Build a CurveModel from a 5-tuple of rationals (ints, strings, Fractions)."""
@@ -135,16 +162,6 @@ def compose_transforms(first, second):
         u1 * s2 + s1,
         u1 ** 3 * t2 + u1 * u1 * s1 * r2 + t1,
     )
-
-
-def transform_x(tr, x):
-    return (x - tr.r) / tr.u ** 2
-
-
-def transform_xy(tr, x, y):
-    nx = (x - tr.r) / tr.u ** 2
-    ny = (y - tr.s * (x - tr.r) - tr.t) / tr.u ** 3
-    return nx, ny
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +285,7 @@ class LocalReduction:
     f: int  # conductor exponent
     c: int  # Tamagawa number
     split: bool | None = None  # multiplicative reduction only
+    singular: tuple | None = None  # lift (x0, y0) of the singular point mod p
 
     def __post_init__(self):
         cap = 2 if self.p >= 5 else (5 if self.p == 3 else 8)
@@ -443,17 +461,9 @@ def _normalize_for_star(a, p):
     return a
 
 
-def singular_point_mod_p(c, p):
-    """Lift (x0, y0) of the singular point of the reduction of c mod p.
-
-    The model must be integral with p dividing the discriminant.
-    """
-    a = tuple(int(x) for x in c.ainvs())
-    return _singular_point(a, p)
-
-
 def tate_local(c, p):
-    """Kodaira type, conductor exponent and Tamagawa number of c at p.
+    """Kodaira type, conductor exponent, Tamagawa number and singular point
+    of c at p.
 
     The model must be integral and minimal at p; NotMinimalAtP otherwise.
     """
@@ -466,6 +476,7 @@ def tate_local(c, p):
         return LocalReduction(p, "I0", 0, 0, 1)
 
     r0, t0 = _singular_point(a, p)
+    bad = partial(LocalReduction, singular=(r0, t0))
     a = _translate(a, r0, 0, t0)
     b2, b4, b6, b8 = _binvs(a)
     assert a[2] % p == 0 and a[3] % p == 0 and a[4] % p == 0
@@ -474,17 +485,17 @@ def tate_local(c, p):
         # multiplicative: tangent directions from T^2 + a1 T - a2
         split = _quad_has_root(1, a[0], -a[1], p)
         c_tam = n if split else (2 if n % 2 == 0 else 1)
-        return LocalReduction(p, f"I{n}", n, 1, c_tam, split)
+        return bad(p, f"I{n}", n, 1, c_tam, split)
 
     if _val(a[4], p) < 2:
-        return LocalReduction(p, "II", n, n, 1)
+        return bad(p, "II", n, n, 1)
     if _val(b8, p) < 3:
-        return LocalReduction(p, "III", n, n - 1, 2)
+        return bad(p, "III", n, n - 1, 2)
     if _val(b6, p) < 3:
         a3p = a[2] // p
         a6p2 = a[4] // (p * p)
         c_tam = 3 if _quad_has_root(1, a3p, -a6p2, p) else 1
-        return LocalReduction(p, "IV", n, n - 2, c_tam)
+        return bad(p, "IV", n, n - 2, c_tam)
 
     a = _normalize_for_star(a, p)
     # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
@@ -495,7 +506,7 @@ def tate_local(c, p):
 
     if gcd_deg <= 0:
         c_tam = 1 + _cubic_root_count(pa2, pa4, pa6, p)
-        return LocalReduction(p, "I0*", n, n - 4, c_tam)
+        return bad(p, "I0*", n, n - 4, c_tam)
 
     if p == 2:
         # (T - b)^3 = T^3 + b T^2 + b T + b over F_2
@@ -550,7 +561,7 @@ def tate_local(c, p):
             a = _translate(a, mx * eta, 0, 0)
             mx *= p
             m_idx += 1
-        return LocalReduction(p, f"I{m_idx}*", n, n - 4 - m_idx, c_tam)
+        return bad(p, f"I{m_idx}*", n, n - 4 - m_idx, c_tam)
 
     # triple root: center it at zero
     if p == 3:
@@ -566,39 +577,33 @@ def tate_local(c, p):
     a6q = a[4] // p ** 4
     if (a3q * a3q + 4 * a6q) % p != 0:
         c_tam = 3 if _quad_has_root(1, a3q, -a6q, p) else 1
-        return LocalReduction(p, "IV*", n, n - 6, c_tam)
+        return bad(p, "IV*", n, n - 6, c_tam)
 
     gamma = a6q % 2 if p == 2 else (-a3q * pow(2, -1, p)) % p
     a = _translate(a, 0, 0, p * p * gamma)
     assert _val(a[2], p) >= 3
 
     if _val(a[3], p) < 4:
-        return LocalReduction(p, "III*", n, n - 7, 2)
+        return bad(p, "III*", n, n - 7, 2)
     if _val(a[4], p) < 6:
-        return LocalReduction(p, "II*", n, n - 8, 1)
+        return bad(p, "II*", n, n - 8, 1)
     raise NotMinimalAtP(f"model {c.ainvs()} is not minimal at {p}")
 
 
 def local_data(c):
     """LocalReduction at every bad prime of the minimal model of c."""
-    cmin, _ = minimal_model(c)
-    disc = int(cmin.disc)
-    return [tate_local(cmin, p) for p in sorted(factorize(disc))]
+    return list(c.reductions)
 
 
 def conductor(c):
     """The conductor N = prod p^{f_p}, computed from the minimal model."""
-    n = 1
-    for red in local_data(c):
-        n *= red.p ** red.f
-    return n
+    return math.prod(red.p ** red.f for red in c.reductions)
 
 
 def szpiro_quotient(c):
     """sigma = log|disc_min| / log N, with sigma = 1 when either log is zero."""
-    cmin, _ = minimal_model(c)
-    d = abs(int(cmin.disc))
-    n = conductor(cmin)
+    d = abs(int(c.minimal[0].disc))
+    n = conductor(c)
     if d == 1 or n == 1:
         return 1.0
     return log_int(d) / log_int(n)
@@ -625,7 +630,7 @@ def rational_height(q):
 
 def invariant_heights(c):
     """Naive heights of disc and j, and the derived curve heights."""
-    cmin, _ = minimal_model(c)
+    cmin = c.minimal[0]
     h_delta = log_int(abs(int(cmin.disc)))
     h_j = rational_height(cmin.j)
     return InvariantHeights(h_delta, h_j, max(h_delta, h_j) / 12.0, max(1.0, h_j))
@@ -639,3 +644,69 @@ def h_v_archimedean(c):
         return rho
     logj = log_int(abs(j.numerator)) - log_int(j.denominator)
     return max(logj, rho)
+
+
+# ---------------------------------------------------------------------------
+# certified bound for sup |F| over the real line, where
+# F(x) = log max(|phi(x)|, |delta(x)|) - 4 log max(|x|, 1) and phi/delta is
+# the x-coordinate duplication map (the height series in heights sums F)
+# ---------------------------------------------------------------------------
+
+
+def _solve_fraction_system(mat, rhs):
+    """Exact Gaussian elimination; mat is n x n of Fractions."""
+    n = len(mat)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise AssertionError("singular system in Bezout solve")
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def _bezout_one_norms(pcoef, qcoef):
+    """(sum|u_i|, sum|v_j|) for u p + v q = 1 with deg u < deg q, deg v < deg p."""
+    dp = len(pcoef) - 1
+    dq = len(qcoef) - 1
+    n = dp + dq
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(dq):  # columns for u_j, multiplying p
+        for i, pi in enumerate(pcoef):
+            mat[i + j][j] = Fraction(pi)
+    for k in range(dp):  # columns for v_k, multiplying q
+        for i, qi in enumerate(qcoef):
+            mat[i + k][dq + k] = Fraction(qi)
+    rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    sol = _solve_fraction_system(mat, rhs)
+    u_norm = sum(abs(x) for x in sol[:dq])
+    v_norm = sum(abs(x) for x in sol[dq:])
+    return u_norm, v_norm
+
+
+def _f_sup_bound(b2, b4, b6, b8):
+    """Certified upper bound for sup_x |F(x)| from exact Bezout cofactors."""
+    phi = [-b8, -2 * b6, -b4, 0, 1]
+    dlt = [b6, 2 * b4, b2, 4]
+    u1, v1 = _bezout_one_norms(phi, dlt)
+    m_near = Fraction(1) / (u1 + v1)  # |x| <= 1
+
+    # |x| >= 1 via t = 1/x: z(t) = t^4 phi(1/t), w(t) = t^3 delta(1/t)
+    z = [1, 0, -b4, -2 * b6, -b8]
+    w = [4, b2, 2 * b4, b6]
+    u2, v2 = _bezout_one_norms(z, w)
+    k = abs(b4) + 2 * abs(b6) + abs(b8)
+    t_cut = Fraction(1) if k == 0 else Fraction(1, math.isqrt(2 * k) + 1)
+    m_far = Fraction(1) / (u2 + v2 / t_cut)  # t_cut <= |t| <= 1
+    m_low = min(m_near, m_far, Fraction(1, 2))  # |t| <= t_cut: |z| >= 1/2
+
+    m_high = max(1 + k, 4 + abs(b2) + 2 * abs(b4) + abs(b6))
+    lo = float(m_low) * (1 - 1e-9)
+    hi = float(m_high) * (1 + 1e-9)
+    return max(math.log(hi), -math.log(lo), 1.0)

@@ -33,6 +33,7 @@ from ellreg.heights import canonical_height, gram_from_matrix, torsion_subgroup
 from ellreg.lattice import (
     asymptotic_constant,
     count_below,
+    count_grid,
     regulator_L,
     successive_minima,
 )
@@ -192,12 +193,14 @@ def test_criterion_3_lattice_oracle_equivalence():
         prof = successive_minima(gram)
         want, _ = oracle_minima_int_gram(g_int)
         assert [int(v) for v in prof.values] == want
-        bounds = {0, want[0], want[-1], want[-1] + 3, rng.randint(1, 2 * want[-1])}
-        for bound in sorted(bounds):
+        bounds = sorted({0, want[0], want[-1], want[-1] + 3, rng.randint(1, 2 * want[-1])})
+        single_pass = count_grid(gram, bounds, include_zero=True)
+        for bound, pair in zip(bounds, single_pass):
             got = count_below(gram, bound, include_zero=True).C
             expect = oracle_count_int_gram(g_int, bound, include_zero=True)
             assert got == expect, (g_int, bound, got, expect)
-            count_checks += 1
+            assert pair.C == expect, (g_int, bounds, bound, pair.C, expect)
+            count_checks += 2
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0
     print(
@@ -220,13 +223,13 @@ def test_criterion_4_certificate_suite():
         gram = gram_from_matrix(g_int)
         prof = successive_minima(gram)
         reg = regulator_L(gram)
-        weak, sharp = minkowski_certificate(gram, profile=prof)
+        weak, sharp = minkowski_certificate(prof, reg)
         assert weak.status == "PASS" and sharp.status == "PASS", g_int
         cert_count += 2
         for bound in (prof.values[0], 2.0 * prof.values[-1]):
-            cert = vdc_lattice_check(gram, bound)
-            assert cert.status == "PASS", (g_int, bound, cert)
             pair = count_below(gram, bound, include_zero=True)
+            cert = vdc_lattice_check(pair, m, reg)
+            assert cert.status == "PASS", (g_int, bound, cert)
             for i in range(1, m + 1):
                 _, cert = minima_floor(pair, i, observed_sq=prof.values[i - 1])
                 assert cert.status == "PASS", (g_int, bound, i, cert)

@@ -105,17 +105,25 @@ class TestGammaInequality:
             gamma_inequality(0)
 
 
+def _minkowski(g):
+    return minkowski_certificate(successive_minima(g), regulator_L(g))
+
+
+def _vdc(g, H):
+    return vdc_lattice_check(count_below(g, H, include_zero=True), g.m, regulator_L(g))
+
+
 class TestMinkowski:
     def test_identity_two(self):
         g = gram_from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        weak, sharp = minkowski_certificate(g)
+        weak, sharp = _minkowski(g)
         assert weak.status == PASS and abs(weak.rhs - 2.0) < 1e-12
         assert sharp.status == PASS and abs(sharp.rhs - 4 / math.pi) < 1e-12
         assert weak.lhs == sharp.lhs == 1.0
 
     def test_rank_one_equality(self):
         g = gram_from_matrix([[0.25]])
-        weak, sharp = minkowski_certificate(g)
+        weak, sharp = _minkowski(g)
         assert weak.status == INDETERMINATE and weak.note == "equality, consistent"
         assert sharp.status == INDETERMINATE
 
@@ -124,7 +132,7 @@ class TestMinkowski:
         for _ in range(20):
             m = rng.choice((2, 3, 4, 5))
             g = random_pd_gram(rng, m, spread=3)
-            weak, sharp = minkowski_certificate(g)
+            weak, sharp = _minkowski(g)
             assert weak.status == PASS
             assert sharp.status == PASS
             # the sharp constant is smaller, hence the sharper bound
@@ -134,14 +142,14 @@ class TestMinkowski:
 class TestVdcLatticeCheck:
     def test_identity_example(self):
         g = gram_from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        c = vdc_lattice_check(g, 4.0)
+        c = _vdc(g, 4.0)
         assert c.status == PASS
         assert c.lhs == 13.0
         assert abs(c.rhs - math.pi) < 1e-12
 
     def test_small_bound(self):
         g = gram_from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        c = vdc_lattice_check(g, 1e-12)
+        c = _vdc(g, 1e-12)
         assert c.status == PASS and c.lhs >= 1.0
 
     def test_random_property(self):
@@ -151,7 +159,7 @@ class TestVdcLatticeCheck:
             g = random_pd_gram(rng, m, spread=3)
             hmax = max(g.values[i][i] for i in range(m))
             for h in (0.5, 1.0 * hmax, 3.0 * hmax):
-                assert vdc_lattice_check(g, h).status == PASS
+                assert _vdc(g, h).status == PASS
 
 
 class TestCountingFloors:

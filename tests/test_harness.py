@@ -2,10 +2,12 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ellreg import certificates, harness, heights, lattice, weierstrass
 from ellreg.cli import main
 from ellreg.errors import ParseError, PointNotOnCurve, TorsionMismatch
 from ellreg.harness import (
@@ -215,6 +217,36 @@ def test_report_round_trip(label):
     assert report_from_dict(doc) == rep
 
 
+def test_analyze_computes_each_fact_once(monkeypatch):
+    calls = Counter()
+
+    def count_calls(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for mod in (weierstrass, heights, lattice, certificates, harness):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+    for fn in (
+        weierstrass.minimal_model,
+        lattice.lll_reduce,
+        lattice._enumerate,
+        lattice.regulator_L,
+    ):
+        count_calls(fn)
+    records = {r.label: r for r in ingest(DATA)}
+    for label in ("37a1", "5077a1"):
+        calls.clear()
+        analyze(records[label])
+        assert calls["lll_reduce"] == 1, (label, calls)
+        assert calls["_enumerate"] <= 2, (label, calls)
+        assert calls["minimal_model"] <= 1, (label, calls)
+        assert calls["regulator_L"] == 1, (label, calls)
+
+
 def test_precision_floor_config():
     records = {r.label: r for r in ingest(DATA)}
     base = analyze(records["37a1"], HarnessConfig(precision=128))
@@ -273,6 +305,22 @@ def test_batch_analysis_error_entry(tmp_path):
     assert doc[0]["error"]["type"] == "TorsionMismatch"
 
 
+def test_batch_torsion_generator_error_entry(tmp_path):
+    path = tmp_path / "t2.jsonl"
+    path.write_text('{"label": "t2", "ainvs": [0, 1, 0, 2, 0], "gens": [["0", "0"]]}\n')
+    entries, status = run_batch(path)
+    assert status == 1
+    assert entries == [
+        {
+            "label": "t2",
+            "error": {
+                "type": "DegenerateLattice",
+                "message": "generator 0 is a torsion point",
+            },
+        }
+    ]
+
+
 def test_batch_csv_summary(tmp_path):
     out = tmp_path / "out.csv"
     assert batch(DATA, out_path=out, csv_format=True) == 0
@@ -317,6 +365,15 @@ def test_cli_count_and_minima(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["minima"]) == 2
     assert doc["minima"][0] == pytest.approx(0.16350038682579715, abs=1e-9)
+
+
+def test_cli_count_respects_enum_cap(capsys):
+    assert main(["count", "5077a1", "--T", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4633
+    assert main(["count", "5077a1", "--T", "40", "--enum-cap", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lattice points exceeds the cap" in captured.err
 
 
 def test_cli_count_rank0_returns_torsion(capsys):
