@@ -1,8 +1,14 @@
 """Canonical heights with certified error, pairings, torsion, Gram matrices.
 
-The height of a non-torsion point is computed as follows: map to the global
-minimal model, multiply by the smallest integer m that moves the point into
-the identity component of every special fiber, and there evaluate
+The height of a point is computed as follows: map to the global minimal
+model, which has integer coefficients, and decide there whether the point is
+torsion.  By the generalized Nagell-Lutz theorem (Silverman, AEC, Thm VIII.7.1)
+a torsion point on an integral Weierstrass equation has 4x and 8y integral, and
+so has each of its multiples; the first multiple whose x-denominator does not
+divide 4 proves infinite order, so a point of large height is settled before
+any multiple is formed.  A torsion point has height exactly zero.  Otherwise
+multiply by the smallest integer m that moves the point into the identity
+component of every special fiber, and there evaluate
 
     h_std(Q) = h(x(Q)) + sum_{n>=0} 4^{-(n+1)} F(x_n),
     F(x) = log max(|phi(x)|, |delta(x)|) - 4 log max(|x|, 1),
@@ -129,13 +135,20 @@ def _divisors(n):
     return sorted(divs)
 
 
-def _torsion_multiple(c, pt, max_n=16):
-    """The order of pt if it is <= max_n, else None."""
+def _torsion_multiple(cmin, pt, max_n=16):
+    """The order of pt if it is <= max_n, else None.
+
+    cmin must have integer coefficients: a multiple of pt whose
+    x-denominator does not divide 4 is not torsion (generalized Nagell-Lutz),
+    so neither is pt, and the search stops there.
+    """
     acc = pt
     for n in range(1, max_n + 1):
         if acc is None:
             return n
-        acc = add(c, acc, pt)
+        if 4 % acc.x.denominator:
+            return None
+        acc = add(cmin, acc, pt)
     return None
 
 
@@ -201,19 +214,10 @@ def _series_height(cmin, pt, tail_budget, precision):
     return value, tail + rounding
 
 
-def canonical_height(c, pt, target_err=1e-12, precision=DEFAULT_PRECISION):
-    """Quadratic-form canonical height of pt, certified within target_err.
-
-    Torsion points (order <= 16) return exactly zero.  The value uses the
-    normalization with the leading factor 1/2, i.e. half the doubling limit
-    lim 4^{-n} h(x(2^n P)).  `precision` is the minimum working precision
-    in bits of the height series.
-    """
-    require_on_curve(c, pt)
-    if pt is None or _torsion_multiple(c, pt) is not None:
-        return HeightValue(0.0, 0.0)
-    cmin, tr = c.minimal
-    q0 = map_point(tr, pt)
+def _minimal_height(cmin, q0, target_err, precision):
+    """Canonical height of q0 on the minimal model cmin; None if q0 is torsion."""
+    if q0 is None or _torsion_multiple(cmin, q0) is not None:
+        return None
     msat = _saturation_multiple(cmin, q0)
     q = multiply(cmin, msat, q0)
     scale = 2 * msat * msat
@@ -221,6 +225,24 @@ def canonical_height(c, pt, target_err=1e-12, precision=DEFAULT_PRECISION):
     value = std / scale
     err = std_err / scale + math.ldexp(max(1.0, abs(value)), -50)
     return HeightValue(value, err)
+
+
+def canonical_height(c, pt, target_err=1e-12, precision=DEFAULT_PRECISION):
+    """Quadratic-form canonical height of pt, certified within target_err.
+
+    Torsion points return exactly zero.  Torsion is decided on the integral
+    minimal model: a multiple of pt whose x-denominator does not divide 4
+    proves infinite order (generalized Nagell-Lutz, Silverman, AEC,
+    Thm VIII.7.1), otherwise up to 16 multiples are formed, which covers
+    every torsion order over Q (Mazur).  The value uses the
+    normalization with the leading factor 1/2, i.e. half the doubling limit
+    lim 4^{-n} h(x(2^n P)).  `precision` is the minimum working precision
+    in bits of the height series.
+    """
+    require_on_curve(c, pt)
+    cmin, tr = c.minimal
+    h = _minimal_height(cmin, map_point(tr, pt), target_err, precision)
+    return HeightValue(0.0, 0.0) if h is None else h
 
 
 def pairing(c, p1, p2, target_err=1e-12, precision=DEFAULT_PRECISION):
@@ -244,20 +266,27 @@ def gram_matrix(c, gens, target_err=1e-12, precision=DEFAULT_PRECISION):
     triggers a warning about possible dependence.
     """
     gens = list(gens)
+    cmin, tr = c.minimal
+    per = target_err / 2
+    qs, heights = [], []
     for i, g in enumerate(gens):
         require_on_curve(c, g)
-        if g is None or _torsion_multiple(c, g) is not None:
+        q = map_point(tr, g)
+        h = _minimal_height(cmin, q, per, precision)
+        if h is None:
             raise DegenerateLattice(f"generator {i} is a torsion point")
+        qs.append(q)
+        heights.append(h)
     m = len(gens)
-    per = target_err / 2
-    heights = [canonical_height(c, g, per, precision) for g in gens]
     vals = [[0.0] * m for _ in range(m)]
     errs = [[0.0] * m for _ in range(m)]
     for i in range(m):
         vals[i][i] = heights[i].value
         errs[i][i] = heights[i].err
         for j in range(i + 1, m):
-            hsum = canonical_height(c, add(c, gens[i], gens[j]), per, precision)
+            hsum = _minimal_height(cmin, add(cmin, qs[i], qs[j]), per, precision)
+            if hsum is None:
+                hsum = HeightValue(0.0, 0.0)
             v = (hsum.value - heights[i].value - heights[j].value) / 2
             e = (hsum.err + heights[i].err + heights[j].err) / 2
             vals[i][j] = vals[j][i] = v
@@ -358,8 +387,12 @@ def torsion_subgroup(c):
 
     Candidates come from integral points on the scaled model
     Y^2 = X^3 - 27 c4 X - 54 c6 with Y = 0 or Y^2 dividing 6^12 disc, then are
-    confirmed by exhibiting a vanishing multiple (order at most 16); a gcd of
-    good-reduction point counts short-circuits curves with trivial torsion.
+    confirmed on the minimal model by exhibiting a vanishing multiple (order
+    at most 16); a candidate with a multiple whose x-denominator does not
+    divide 4 is rejected there, since torsion points of an integral model
+    have 4x integral (generalized Nagell-Lutz, Silverman, AEC, Thm VIII.7.1).
+    A gcd of good-reduction point counts short-circuits curves with trivial
+    torsion.
     """
     cmin, tr = c.minimal
     points = []

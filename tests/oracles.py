@@ -14,7 +14,7 @@ import numpy as np
 
 from ellreg.primes import factorize, log_int
 from ellreg.weierstrass import integral_model
-from ellreg.points import map_point
+from ellreg.points import add, map_point
 
 
 def duplication_orbit(c, pt, steps):
@@ -55,6 +55,20 @@ def oracle_height(c, pt, steps=9):
     """Half the scaled doubling limit: 0.5 * 4^{-n} * h(x(2^n P)) at n = steps."""
     hs = doubling_height_sequence(c, pt, steps)
     return 0.5 * hs[-1] / 4 ** steps
+
+
+def oracle_torsion_order(c, pt, max_n=16):
+    """The order of pt if it is at most max_n, else None.
+
+    Forms the multiples of pt one by one on the given model, with no
+    integrality shortcut; 16 exceeds every torsion order over Q (Mazur).
+    """
+    acc = pt
+    for n in range(1, max_n + 1):
+        if acc is None:
+            return n
+        acc = add(c, acc, pt)
+    return None
 
 
 def oracle_count_int_gram(gram, bound, include_zero=False):

@@ -7,11 +7,13 @@ corpora are seeded, so a green run is reproducible bit for bit.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from oracles import (
 )
 
 DATA = bundled_dataset_path()
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _int_det(mat):
@@ -386,6 +389,10 @@ def test_criterion_8_sieve_constant():
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
+    # the subprocess must import this checkout's package, which pytest's
+    # `pythonpath` setting does not pass on to child processes
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     outs = []
     for name in ("first.json", "second.json"):
         out = tmp_path / name
@@ -393,6 +400,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
             [sys.executable, "-m", "ellreg.cli", "certify", DATA, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())

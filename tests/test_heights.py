@@ -10,8 +10,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ellreg import heights
 from ellreg.errors import DegenerateLattice, PointNotOnCurve
+from ellreg.harness import bundled_dataset_path, ingest
 from ellreg.heights import (
     GramLattice,
     HeightValue,
@@ -25,7 +28,7 @@ from ellreg.points import add, multiply, negate, point
 from ellreg.weierstrass import apply_transform, Transform, curve
 from ellreg.points import map_point
 
-from oracles import doubling_height_sequence, oracle_height
+from oracles import doubling_height_sequence, oracle_height, oracle_torsion_order
 
 E37 = curve((0, 0, 1, -1, 0))
 E43 = curve((0, 1, 1, 0, 0))
@@ -264,3 +267,93 @@ class TestTorsion:
         assert t.order == 5
         for p in t.points:
             assert multiply(c2, 5, p) is None
+
+
+class TestIntegralityExit:
+    """Torsion is decided on the integral minimal model: a multiple whose
+    x-denominator does not divide 4 proves infinite order."""
+
+    def test_order_two_point_with_quarter_x(self):
+        # minimal model with disc -4225; (-1/4, 1/8) has order 2, so the
+        # test must accept a denominator dividing 4, not only 1
+        c = curve((1, 0, 0, 4, 1))
+        assert c.disc == -4225 and c.minimal[0].ainvs() == c.ainvs()
+        p = point(Fraction(-1, 4), Fraction(1, 8))
+        assert p in torsion_subgroup(c).points
+        assert canonical_height(c, p) == HeightValue(0.0, 0.0)
+
+    def test_non_integral_input_model(self):
+        # u = 3 makes a4 and a6 fractional and moves the 5-torsion point to
+        # x = 4/9: on this model the integrality test would call it
+        # non-torsion, so torsion must be decided on the minimal model
+        tr = Transform(3, 1, 1, 0)
+        c11 = apply_transform(E11, tr)
+        assert not c11.is_integral()
+        p = map_point(tr, point(5, 5))
+        assert 4 % p.x.denominator != 0
+        assert canonical_height(c11, p) == HeightValue(0.0, 0.0)
+        assert torsion_subgroup(c11).order == 5
+        c37 = apply_transform(E37, tr)
+        assert not c37.is_integral()
+        g = map_point(tr, point(0, 0))
+        assert canonical_height(c37, g) == canonical_height(E37, point(0, 0))
+        c5077 = apply_transform(E5077, tr)
+        gens = [point(-3, 0), point(0, 2), point(2, 0)]
+        assert gram_matrix(c5077, [map_point(tr, q) for q in gens]) == gram_matrix(
+            E5077, gens
+        )
+        with pytest.raises(DegenerateLattice):
+            gram_matrix(c11, [p])
+
+    def test_tall_point_makes_no_additions(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return add(*args)
+
+        monkeypatch.setattr(heights, "add", counted)
+        p = add(
+            E5077, multiply(E5077, 10, point(-3, 0)), multiply(E5077, 8, point(2, 0))
+        )
+        assert max(abs(p.x.numerator), p.x.denominator).bit_length() > 100
+        assert canonical_height(E5077, p).value > 0
+        assert calls == []
+
+    def test_gram_matrix_decides_torsion_once_per_point(self, monkeypatch):
+        calls = []
+        real = heights._torsion_multiple
+
+        def counted(cmin, pt, *args):
+            calls.append(pt)
+            return real(cmin, pt, *args)
+
+        monkeypatch.setattr(heights, "_torsion_multiple", counted)
+        gram_matrix(E5077, [point(-3, 0), point(0, 2), point(2, 0)])
+        # 3 generators and 3 pairwise sums, each once
+        assert len(calls) == 6 and len(set(calls)) == 6
+
+
+@pytest.fixture(scope="module")
+def bundled_points():
+    """(curve, generators, torsion points) of every bundled curve."""
+    out = []
+    for rec in ingest(bundled_dataset_path()):
+        c = curve(rec.ainvs)
+        gens = tuple(point(x, y) for x, y in rec.gens)
+        out.append((c, gens, torsion_subgroup(c).points))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_torsion_decision_matches_oracle(bundled_points, data):
+    c, gens, tors = data.draw(st.sampled_from(bundled_points))
+    pt = data.draw(st.sampled_from((None,) + tors))
+    for g in gens:
+        pt = add(c, pt, multiply(c, data.draw(st.integers(-3, 3)), g))
+    order = oracle_torsion_order(c, pt)
+    cmin, tr = c.minimal
+    assert heights._torsion_multiple(cmin, map_point(tr, pt)) == order
+    h = canonical_height(c, pt)
+    assert (h == HeightValue(0.0, 0.0)) == (order is not None)
