@@ -6,19 +6,20 @@ torsion.  By the generalized Nagell-Lutz theorem (Silverman, AEC, Thm VIII.7.1)
 a torsion point on an integral Weierstrass equation has 4x and 8y integral, and
 so has each of its multiples; the first multiple whose x-denominator does not
 divide 4 proves infinite order, so a point of large height is settled before
-any multiple is formed.  A torsion point has height exactly zero.  Otherwise
-multiply by the smallest integer m that moves the point into the identity
-component of every special fiber, and there evaluate
+any multiple is formed.  A torsion point has height exactly zero.  Any other
+point Q is evaluated in one pass, in the quadratic-form normalization,
 
+    h_hat(Q) = (h_std(Q) + sum_p r_p(Q) log p) / 2,
     h_std(Q) = h(x(Q)) + sum_{n>=0} 4^{-(n+1)} F(x_n),
     F(x) = log max(|phi(x)|, |delta(x)|) - 4 log max(|x|, 1),
 
 where x_{n+1} = phi(x_n)/delta(x_n) is the x-coordinate duplication map.  The
-identity h(x(2Q)) = 4 h(x(Q)) + F(x(Q)) is exact for points with nonsingular
-reduction everywhere (the duplication fraction stays in lowest terms), so the
-only error is the series tail, bounded by sup|F| * 4^{-N} / 3 with sup|F|
-certified from exact Bezout cofactors of (phi, delta).  The reported height is
-h_std(Q) / (2 m^2), the quadratic-form normalization with the factor 1/2.
+series counts each duplication fraction as if in lowest terms, which fails
+only at the bad primes p where Q reduces to the singular point; r_p(Q) is the
+closed form of Silverman, "Computing heights on elliptic curves", Math. Comp. 51
+(1988), Thm 5.2, for what is lost there.  The only error is the series tail,
+bounded by sup|F| * 4^{-N} / 3 with sup|F| certified from exact Bezout
+cofactors of (phi, delta), plus float rounding.
 """
 
 import math
@@ -31,8 +32,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateLattice
-from .points import RationalPoint, add, map_point, multiply, require_on_curve
-from .primes import factorize, is_prime, square_divisors
+from .points import RationalPoint, add, map_point, require_on_curve
+from .primes import is_prime, square_divisors, valuation
 from .weierstrass import invert_transform
 
 DEFAULT_PRECISION = 128  # minimum working bits of the height series
@@ -127,14 +128,6 @@ def gram_from_matrix(values, errs=None):
     return GramLattice(vals, tuple(tuple(float(x) for x in row) for row in errs))
 
 
-def _divisors(n):
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def _torsion_multiple(cmin, pt, max_n=16):
     """The order of pt if it is <= max_n, else None.
 
@@ -152,39 +145,9 @@ def _torsion_multiple(cmin, pt, max_n=16):
     return None
 
 
-def _nonsingular_at(red, pt):
-    """Whether pt on the minimal model reduces to a nonsingular point mod p."""
-    if pt is None:
-        return True
-    p = red.p
-    xden = pt.x.denominator
-    if xden % p == 0:
-        return True  # reduces to the identity
-    x0, y0 = red.singular
-    xr = pt.x.numerator * pow(xden, -1, p) % p
-    if xr != x0 % p:
-        return True
-    yr = pt.y.numerator * pow(pt.y.denominator, -1, p) % p
-    return yr != y0 % p
-
-
-def _saturation_multiple(cmin, pt):
-    """Least m with m*pt in the identity component at every bad prime."""
-    m = 1
-    for red in cmin.reductions:
-        if red.c == 1:
-            continue
-        for k in _divisors(red.c):
-            if _nonsingular_at(red, multiply(cmin, k, pt)):
-                m = m * k // math.gcd(m, k)
-                break
-        else:
-            raise AssertionError(f"no component multiple found at {red.p}")
-    return m
-
-
 def _series_height(cmin, pt, tail_budget, precision):
-    """h_std of a point with everywhere-nonsingular reduction, and its error.
+    """h_std of a point of infinite order on the minimal model, without the
+    local terms r_p, and its error.
 
     The working precision is what the error budget needs, and at least
     `precision` bits.
@@ -214,16 +177,51 @@ def _series_height(cmin, pt, tail_budget, precision):
     return value, tail + rounding
 
 
+def _ord(q, p):
+    """p-adic valuation of the rational q (infinite for 0)."""
+    if q == 0:
+        return math.inf
+    return valuation(q.numerator, p) - valuation(q.denominator, p)
+
+
+def _local_terms(cmin, pt):
+    """(sum_p r_p log p, a bound on its float rounding) for a point of
+    infinite order on the minimal model.  By Silverman's Thm 5.2, r_p = 0
+    unless A = ord_p(3x^2 + 2 a2 x + a4 - a1 y) and B = ord_p(psi_2) are
+    positive; then r_p = -k (N - k) / N, k = min(B, N/2), N = ord_p(disc),
+    for multiplicative reduction, else -2B/3 if C = ord_p(psi_3) >= 3B,
+    else -C/4.  B and C are finite since pt is not 2- or 3-torsion.
+    """
+    x, y = pt.x, pt.y
+    slope_num = 3 * x * x + 2 * cmin.a2 * x + cmin.a4 - cmin.a1 * y
+    psi2 = 2 * y + cmin.a1 * x + cmin.a3
+    psi3 = (((3 * x + cmin.b2) * x + 3 * cmin.b4) * x + 3 * cmin.b6) * x + cmin.b8
+    total = size = 0.0
+    for red in cmin.reductions:
+        p, n = red.p, red.v_disc
+        b = _ord(psi2, p)
+        if _ord(slope_num, p) <= 0 or b <= 0:
+            continue
+        if red.split is not None:
+            k = min(b, Fraction(n, 2))
+            r = -k * (n - k) / n
+        else:
+            c = _ord(psi3, p)
+            r = Fraction(-2 * b, 3) if c >= 3 * b else Fraction(-c, 4)
+        term = float(r) * math.log(p)
+        total += term
+        size += abs(term)
+    return total, math.ldexp(size, -50)
+
+
 def _minimal_height(cmin, q0, target_err, precision):
     """Canonical height of q0 on the minimal model cmin; None if q0 is torsion."""
     if q0 is None or _torsion_multiple(cmin, q0) is not None:
         return None
-    msat = _saturation_multiple(cmin, q0)
-    q = multiply(cmin, msat, q0)
-    scale = 2 * msat * msat
-    std, std_err = _series_height(cmin, q, target_err * scale / 2, precision)
-    value = std / scale
-    err = std_err / scale + math.ldexp(max(1.0, abs(value)), -50)
+    std, std_err = _series_height(cmin, q0, target_err, precision)
+    local, local_err = _local_terms(cmin, q0)
+    value = (std + local) / 2
+    err = (std_err + local_err) / 2 + math.ldexp(max(1.0, abs(value)), -50)
     return HeightValue(value, err)
 
 
@@ -234,10 +232,11 @@ def canonical_height(c, pt, target_err=1e-12, precision=DEFAULT_PRECISION):
     minimal model: a multiple of pt whose x-denominator does not divide 4
     proves infinite order (generalized Nagell-Lutz, Silverman, AEC,
     Thm VIII.7.1), otherwise up to 16 multiples are formed, which covers
-    every torsion order over Q (Mazur).  The value uses the
-    normalization with the leading factor 1/2, i.e. half the doubling limit
-    lim 4^{-n} h(x(2^n P)).  `precision` is the minimum working precision
-    in bits of the height series.
+    every torsion order over Q (Mazur).  Any other point needs no multiple:
+    the series plus Silverman's closed-form local terms (Math. Comp. 51
+    (1988), Thm 5.2) give half the doubling limit lim 4^{-n} h(x(2^n P)),
+    the normalization with the leading factor 1/2.  `precision` is the
+    minimum working precision in bits of the height series.
     """
     require_on_curve(c, pt)
     cmin, tr = c.minimal

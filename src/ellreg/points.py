@@ -66,16 +66,17 @@ def add(c, p1, p2):
 
 
 def multiply(c, n, pt):
-    """n * pt by binary double-and-add (n may be negative or zero)."""
+    """n * pt (n may be negative or zero) by left-to-right double-and-add:
+    bit_length(n) - 1 doublings and popcount(n) - 1 additions for n > 0."""
     if n < 0:
         return multiply(c, -n, negate(c, pt))
-    acc = None
-    base = pt
-    while n:
-        if n & 1:
-            acc = add(c, acc, base)
-        base = add(c, base, base)
-        n >>= 1
+    if n == 0:
+        return None
+    acc = pt
+    for bit in bin(n)[3:]:
+        acc = add(c, acc, acc)
+        if bit == "1":
+            acc = add(c, acc, pt)
     return acc
 
 

@@ -7,7 +7,7 @@ appears only in the derived height-type quantities at the bottom of the file.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import NotMinimalAtP, SingularCurve
 from .primes import factorize, is_square_mod, log_int, valuation
@@ -285,7 +285,6 @@ class LocalReduction:
     f: int  # conductor exponent
     c: int  # Tamagawa number
     split: bool | None = None  # multiplicative reduction only
-    singular: tuple | None = None  # lift (x0, y0) of the singular point mod p
 
     def __post_init__(self):
         cap = 2 if self.p >= 5 else (5 if self.p == 3 else 8)
@@ -462,8 +461,7 @@ def _normalize_for_star(a, p):
 
 
 def tate_local(c, p):
-    """Kodaira type, conductor exponent, Tamagawa number and singular point
-    of c at p.
+    """Kodaira type, conductor exponent and Tamagawa number of c at p.
 
     The model must be integral and minimal at p; NotMinimalAtP otherwise.
     """
@@ -476,7 +474,6 @@ def tate_local(c, p):
         return LocalReduction(p, "I0", 0, 0, 1)
 
     r0, t0 = _singular_point(a, p)
-    bad = partial(LocalReduction, singular=(r0, t0))
     a = _translate(a, r0, 0, t0)
     b2, b4, b6, b8 = _binvs(a)
     assert a[2] % p == 0 and a[3] % p == 0 and a[4] % p == 0
@@ -485,17 +482,17 @@ def tate_local(c, p):
         # multiplicative: tangent directions from T^2 + a1 T - a2
         split = _quad_has_root(1, a[0], -a[1], p)
         c_tam = n if split else (2 if n % 2 == 0 else 1)
-        return bad(p, f"I{n}", n, 1, c_tam, split)
+        return LocalReduction(p, f"I{n}", n, 1, c_tam, split)
 
     if _val(a[4], p) < 2:
-        return bad(p, "II", n, n, 1)
+        return LocalReduction(p, "II", n, n, 1)
     if _val(b8, p) < 3:
-        return bad(p, "III", n, n - 1, 2)
+        return LocalReduction(p, "III", n, n - 1, 2)
     if _val(b6, p) < 3:
         a3p = a[2] // p
         a6p2 = a[4] // (p * p)
         c_tam = 3 if _quad_has_root(1, a3p, -a6p2, p) else 1
-        return bad(p, "IV", n, n - 2, c_tam)
+        return LocalReduction(p, "IV", n, n - 2, c_tam)
 
     a = _normalize_for_star(a, p)
     # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
@@ -506,7 +503,7 @@ def tate_local(c, p):
 
     if gcd_deg <= 0:
         c_tam = 1 + _cubic_root_count(pa2, pa4, pa6, p)
-        return bad(p, "I0*", n, n - 4, c_tam)
+        return LocalReduction(p, "I0*", n, n - 4, c_tam)
 
     if p == 2:
         # (T - b)^3 = T^3 + b T^2 + b T + b over F_2
@@ -561,7 +558,7 @@ def tate_local(c, p):
             a = _translate(a, mx * eta, 0, 0)
             mx *= p
             m_idx += 1
-        return bad(p, f"I{m_idx}*", n, n - 4 - m_idx, c_tam)
+        return LocalReduction(p, f"I{m_idx}*", n, n - 4 - m_idx, c_tam)
 
     # triple root: center it at zero
     if p == 3:
@@ -577,16 +574,16 @@ def tate_local(c, p):
     a6q = a[4] // p ** 4
     if (a3q * a3q + 4 * a6q) % p != 0:
         c_tam = 3 if _quad_has_root(1, a3q, -a6q, p) else 1
-        return bad(p, "IV*", n, n - 6, c_tam)
+        return LocalReduction(p, "IV*", n, n - 6, c_tam)
 
     gamma = a6q % 2 if p == 2 else (-a3q * pow(2, -1, p)) % p
     a = _translate(a, 0, 0, p * p * gamma)
     assert _val(a[2], p) >= 3
 
     if _val(a[3], p) < 4:
-        return bad(p, "III*", n, n - 7, 2)
+        return LocalReduction(p, "III*", n, n - 7, 2)
     if _val(a[4], p) < 6:
-        return bad(p, "II*", n, n - 8, 1)
+        return LocalReduction(p, "II*", n, n - 8, 1)
     raise NotMinimalAtP(f"model {c.ainvs()} is not minimal at {p}")
 
 

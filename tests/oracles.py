@@ -3,7 +3,10 @@
 These deliberately avoid the library's height machinery: heights come from the
 raw doubling limit on exact integer fractions, and lattice counts come from
 naive box enumeration.  Agreement between these and the production code is the
-core correctness evidence for the height and enumeration layers.
+core correctness evidence for the height and enumeration layers.  The one
+exception is oracle_saturated_height, the library's former height path: it
+shares the archimedean series with the library and checks the local terms
+that replaced its multiplication into the identity component.
 """
 
 import itertools
@@ -12,9 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from ellreg import heights
 from ellreg.primes import factorize, log_int
 from ellreg.weierstrass import integral_model
-from ellreg.points import add, map_point
+from ellreg.points import add, map_point, multiply
 
 
 def duplication_orbit(c, pt, steps):
@@ -149,3 +153,43 @@ def oracle_minima_int_gram(gram, limit=None):
         bound *= 2
         if limit is not None and bound > limit:
             raise RuntimeError("oracle search bound exceeded")
+
+
+def reduces_to_singular(cmin, q, p):
+    """Whether q, on the integral model cmin, reduces mod p to the singular
+    point: q is p-integral and both partial derivatives of the Weierstrass
+    equation vanish at it mod p."""
+    if q is None or q.x.denominator % p == 0:
+        return False
+    x = q.x.numerator * pow(q.x.denominator, -1, p) % p
+    y = q.y.numerator * pow(q.y.denominator, -1, p) % p
+    a1, a2, a3, a4 = (int(a) for a in cmin.ainvs()[:4])
+    fx = 3 * x * x + 2 * a2 * x + a4 - a1 * y
+    fy = 2 * y + a1 * x + a3
+    return fx % p == 0 and fy % p == 0
+
+
+def oracle_saturated_height(cmin, q, target_err):
+    """Canonical height of a point of infinite order q on the minimal model
+    cmin, through the identity component.
+
+    At each bad prime take the least k dividing the Tamagawa number c_p with
+    k*q reducing to a nonsingular point; m*q, for m the lcm of these k, has
+    everywhere-nonsingular reduction, so the archimedean series of
+    heights._series_height alone gives h_std(m*q) = 2 m^2 h_hat(q).
+    """
+    m = 1
+    for red in cmin.reductions:
+        k = next(
+            k
+            for k in range(1, red.c + 1)
+            if red.c % k == 0
+            and not reduces_to_singular(cmin, multiply(cmin, k, q), red.p)
+        )
+        m = math.lcm(m, k)
+    scale = 2 * m * m
+    std, std_err = heights._series_height(
+        cmin, multiply(cmin, m, q), target_err * scale / 2, heights.DEFAULT_PRECISION
+    )
+    value = std / scale
+    return heights.HeightValue(value, std_err / scale + math.ldexp(max(1.0, abs(value)), -50))

@@ -10,9 +10,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ellreg import heights
+from ellreg import heights, points
 from ellreg.errors import DegenerateLattice, PointNotOnCurve
 from ellreg.harness import bundled_dataset_path, ingest
 from ellreg.heights import (
@@ -25,10 +25,16 @@ from ellreg.heights import (
     torsion_subgroup,
 )
 from ellreg.points import add, multiply, negate, point
-from ellreg.weierstrass import apply_transform, Transform, curve
+from ellreg.weierstrass import apply_transform, Transform, curve, tate_local
 from ellreg.points import map_point
 
-from oracles import doubling_height_sequence, oracle_height, oracle_torsion_order
+from oracles import (
+    doubling_height_sequence,
+    oracle_height,
+    oracle_saturated_height,
+    oracle_torsion_order,
+    reduces_to_singular,
+)
 
 E37 = curve((0, 0, 1, -1, 0))
 E43 = curve((0, 1, 1, 0, 0))
@@ -334,6 +340,78 @@ class TestIntegralityExit:
         assert len(calls) == 6 and len(set(calls)) == 6
 
 
+# (p, Kodaira type at p, split, ainvs of a minimal model, a point that
+# reduces to the singular point mod p); split is set for multiplicative
+# reduction only
+KODAIRA_FIXTURES = [
+    (2, "I0*", None, (0, 0, 0, 0, -4), (2, 2)),
+    (2, "III", None, (0, -1, 0, 0, 1), (0, 1)),
+    (2, "IV", None, (0, 0, 0, -1, 1), (-1, 1)),
+    (2, "I1*", None, (0, 1, 0, -4, 0), (-2, 2)),
+    (2, "III*", None, (0, 0, 0, 8, 0), (8, 24)),
+    (2, "IV*", None, (0, 0, 0, 1, 6), (-1, 2)),
+    (2, "I2", True, (1, 0, 0, -1, -3), (2, 1)),
+    (2, "I2", False, (1, 1, 0, -2, 0), (-2, 2)),
+    (3, "I0*", None, (0, 0, 0, 18, 0), (3, 9)),
+    (3, "III", None, (0, 0, 1, 0, 3), (-1, 1)),
+    (3, "IV", None, (0, 0, 1, -3, 0), (-1, 1)),
+    (3, "I1*", None, (0, 0, 1, -21, 0), (-4, 4)),
+    (3, "III*", None, (0, 0, 0, -54, 0), (27, 135)),
+    (3, "IV*", None, (0, 0, 0, 0, 54), (3, 9)),
+    (3, "I2", True, (0, 1, 0, 4, 3), (1, 3)),
+    (3, "I2", False, (1, 1, 1, -3, 0), (-2, 2)),
+    (5, "I0*", None, (1, 1, 0, -50, 0), (-5, 15)),
+    (5, "III", None, (0, 0, 0, 5, 0), (20, 90)),
+    (5, "IV", None, (1, 1, 1, 12, 6), (0, 2)),
+    (5, "I1*", None, (1, 1, 0, -25, 125), (-5, 15)),
+    (5, "I2", True, (0, -1, 0, -30, -3), (-1, -5)),
+    (5, "I2", False, (0, -1, 0, -26, -24), (11, -30)),
+    (7, "I2", True, (0, -1, 1, 0, -6), (3, 3)),
+    (7, "I2", False, (1, -1, 0, 0, -3), (4, 5)),
+]
+
+
+class TestLocalTerms:
+    """Heights of points outside the identity component: the series on the
+    point itself plus Silverman's closed-form local terms."""
+
+    @pytest.mark.parametrize("p, kodaira, split, ainvs, xy", KODAIRA_FIXTURES)
+    def test_kodaira_fixture(self, p, kodaira, split, ainvs, xy):
+        c = curve(ainvs)
+        assert c.minimal[0].ainvs() == c.ainvs()
+        red = tate_local(c, p)
+        assert (red.kodaira, red.split) == (kodaira, split)
+        pt = point(*xy)
+        assert reduces_to_singular(c, pt, p)
+        h = canonical_height(c, pt)
+        assert abs(h.value - oracle_height(c, pt, steps=8)) < 1e-4
+        sat = oracle_saturated_height(c, pt, 1e-12)
+        assert abs(h.value - sat.value) <= h.err + sat.err
+
+    def test_stress_curve_addition_count(self, monkeypatch):
+        # rank 5 with I8 at 7, I6 at 11 and I5 at 37: no multiple of a point
+        # is formed, so only the 10 pairwise sums and at most one
+        # torsion-test addition per point remain
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return add(*args)
+
+        monkeypatch.setattr(points, "add", counted)
+        monkeypatch.setattr(heights, "add", counted)
+        ainvs = (
+            Fraction(3658, 2849),
+            Fraction(-10631, 2849),
+            Fraction(-27339, 2849),
+            Fraction(-123440, 2849),
+            Fraction(82160, 407),
+        )
+        gens = [point(6, -4), point(8, 11), point(-6, -5), point(5, 6), point(1, -9)]
+        assert gram_matrix(curve(ainvs), gens).m == 5
+        assert len(calls) <= 25
+
+
 @pytest.fixture(scope="module")
 def bundled_points():
     """(curve, generators, torsion points) of every bundled curve."""
@@ -357,3 +435,17 @@ def test_torsion_decision_matches_oracle(bundled_points, data):
     assert heights._torsion_multiple(cmin, map_point(tr, pt)) == order
     h = canonical_height(c, pt)
     assert (h == HeightValue(0.0, 0.0)) == (order is not None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_height_matches_saturated_oracle(bundled_points, data):
+    c, gens, _ = data.draw(st.sampled_from([b for b in bundled_points if b[1]]))
+    pt = None
+    for g in gens:
+        pt = add(c, pt, multiply(c, data.draw(st.integers(-3, 3)), g))
+    assume(pt is not None)
+    cmin, tr = c.minimal
+    h = canonical_height(c, pt)
+    sat = oracle_saturated_height(cmin, map_point(tr, pt), 1e-12)
+    assert abs(h.value - sat.value) <= h.err + sat.err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellreg import points
 from ellreg.errors import InfinityPoint, PointNotOnCurve
 from ellreg.points import (
     add,
@@ -46,6 +47,26 @@ def test_multiply_matches_repeated_add():
     for n in range(9):
         assert multiply(E37, n, P37) == acc
         acc = add(E37, acc, P37)
+
+
+@pytest.mark.parametrize(
+    "n, doublings, additions", [(1, 0, 0), (2, 1, 0), (3, 1, 1), (8, 3, 0), (13, 3, 2)]
+)
+def test_multiply_operation_counts(monkeypatch, n, doublings, additions):
+    # bit_length(n) - 1 doublings and popcount(n) - 1 additions: no doubling
+    # past the top bit and no addition to the identity
+    calls = []
+
+    def counted(c, p1, p2):
+        calls.append(p1 == p2)
+        return add(c, p1, p2)
+
+    monkeypatch.setattr(points, "add", counted)
+    acc = None
+    for _ in range(n):
+        acc = add(E37, acc, P37)
+    assert multiply(E37, n, P37) == acc
+    assert (calls.count(True), calls.count(False)) == (doublings, additions)
 
 
 def test_mixed_addition():
